@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-record bench-check vet fmt-check shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
+.PHONY: build test race bench bench-record bench-check vet fmt-check jobbench-smoke shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ bench-record:
 # BENCH_TOLERANCE=<fraction>).
 bench-check:
 	./scripts/bench-check.sh
+
+# Job-level benchmark smoke: jobbench is its own module, so the root
+# build and tests never compile it. Vet and race-test it, then run a
+# short pipeline window and require correct outputs and no failed ops
+# on the JSON summary line.
+jobbench-smoke:
+	cd jobbench && $(GO) vet ./... && $(GO) test -race ./...
+	@last="$$(bash jobbench/run.sh --workload pipeline --seed 1 --seconds 3 --trace 0 | tail -n 1)"; \
+		echo "$$last"; \
+		echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
+		{ echo "jobbench: incorrect outputs or failed ops"; exit 1; }
 
 # Exercise the scheduler's shard matrix the same way the CI does.
 shard-smoke: build
@@ -106,4 +117,4 @@ lint:
 vuln:
 	govulncheck ./...
 
-ci: build vet fmt-check race bench examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke
+ci: build vet fmt-check race bench jobbench-smoke examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke

@@ -56,36 +56,55 @@ func (e Rate) Name() string { return fmt.Sprintf("rate-poisson(p=%.3g)", e.MaxPr
 
 // Encode implements Encoder.
 //
-// Spikes are accumulated into one flat arena with per-step offsets
-// instead of one growing slice per step: the same Bernoulli draws in the
-// same order produce the same train, but a 60-step encode performs a
-// handful of allocations instead of hundreds — encoding runs once per
-// sample per evaluation, so this is directly on the sweep hot path.
+// Each timestep draws once per pixel with 0 < p < 1, in pixel order,
+// through one rng.AppendBernoulli call over the pixels' integer
+// thresholds: the same draws in the same order decide exactly as
+// r.Bernoulli(p) would, so the train and the stream state afterwards
+// are those of the per-pixel loop. Pixels with p ≤ 0 never spike and
+// pixels with p ≥ 1 always spike, both without a draw, as in Bernoulli.
+// Spikes are accumulated into one flat arena with per-step offsets, so
+// a 60-step encode performs a handful of allocations instead of one
+// growing slice per step.
 func (e Rate) Encode(img []byte, steps int, r *rng.Stream) Train {
 	tr := make(Train, steps)
-	// Precompute per-pixel probabilities; skip dark pixels entirely.
-	type hot struct {
-		idx int32
-		p   float64
+	// Pixels that draw, with their thresholds. A certain (p ≥ 1) pixel
+	// is recorded with the number of drawing pixels before it, so each
+	// step interleaves it with the draws in pixel order.
+	type certain struct {
+		idx    int32
+		before int
 	}
-	hots := make([]hot, 0, len(img)/4)
-	expected := 0.0
+	var (
+		idx      = make([]int32, 0, len(img)/4)
+		th       = make([]uint64, 0, len(img)/4)
+		certains []certain
+		expected float64
+	)
 	for i, v := range img {
 		if v == 0 {
 			continue
 		}
 		p := float64(v) / 255 * e.MaxProb
-		hots = append(hots, hot{int32(i), p})
 		expected += p
+		switch {
+		case p <= 0:
+		case p >= 1:
+			certains = append(certains, certain{int32(i), len(idx)})
+		default:
+			idx = append(idx, int32(i))
+			th = append(th, rng.BernoulliThreshold(p))
+		}
 	}
 	offs := make([]int, steps+1)
 	arena := make([]int32, 0, int(expected*float64(steps))+16)
 	for t := 0; t < steps; t++ {
-		for _, h := range hots {
-			if r.Bernoulli(h.p) {
-				arena = append(arena, h.idx)
-			}
+		lo := 0
+		for _, c := range certains {
+			arena = r.AppendBernoulli(arena, idx[lo:c.before], th[lo:c.before])
+			arena = append(arena, c.idx)
+			lo = c.before
 		}
+		arena = r.AppendBernoulli(arena, idx[lo:], th[lo:])
 		offs[t+1] = len(arena)
 	}
 	for t := 0; t < steps; t++ {

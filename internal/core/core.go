@@ -158,12 +158,29 @@ func (f *Framework) EvaluateUnderErrorsCtx(ctx context.Context, net *snn.Network
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	w, _ := f.CorruptWeights(net.WeightsFlat(), layout, profile, rng.New(injectSeed))
-	clone := net.Clone()
-	if err := clone.SetWeightsFlat(w); err != nil {
-		panic("core: " + err.Error())
+	clone, err := f.corruptedClone(net, layout, profile, rng.New(injectSeed))
+	if err != nil {
+		return 0, err
 	}
 	return clone.EvaluateBatch(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+}
+
+// corruptedClone passes net's weights through approximate DRAM
+// (CorruptWeights through layout and profile) and loads the result, with
+// on-load sanitization, into a clone of net; net is not modified. A
+// layout that does not place exactly net's weight image is an error.
+func (f *Framework) corruptedClone(net *snn.Network, layout *mapping.Layout,
+	profile *errmodel.Profile, r *rng.Stream) (*snn.Network, error) {
+	ub := layout.UnitBytes()
+	if want := mapping.UnitsFor(f.Format.ImageSize(net.WeightCount(), ub), ub); layout.Units() != want {
+		return nil, fmt.Errorf("core: layout places %d units, the weight image needs %d", layout.Units(), want)
+	}
+	w, _ := f.CorruptWeights(net.WeightsFlat(), layout, profile, r)
+	clone := net.Clone()
+	if err := clone.SetWeightsFlat(w); err != nil {
+		return nil, fmt.Errorf("core: load corrupted weights: %w", err)
+	}
+	return clone, nil
 }
 
 // TrainConfig parameterizes Algorithm 1 (fault-aware training).
@@ -238,7 +255,13 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 	}
 	root := rng.New(cfg.Seed)
 	evalSeed := root.Derive("eval").Uint64()
-	acc0, err := baseline.EvaluateBatch(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	// The baseline and every per-rate evaluation run on the same spike
+	// trains (paired evaluation), so the test set is encoded once.
+	evalSet, err := baseline.EncodeDataset(ctx, test, rng.New(evalSeed), f.EvalWorkers)
+	if err != nil {
+		return nil, fmt.Errorf("core: baseline evaluation: %w", err)
+	}
+	acc0, err := baseline.EvaluateEncoded(ctx, evalSet, f.EvalWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline evaluation: %w", err)
 	}
@@ -273,8 +296,12 @@ func (f *Framework) ImproveErrorTolerance(ctx context.Context, baseline *snn.Net
 		if err := modelTemp.AssignLabelsCtx(ctx, train, root.DeriveIndex("assign", i)); err != nil {
 			return nil, fmt.Errorf("core: label assignment at BER %.0e: %w", rate, err)
 		}
-		acc, err := f.EvaluateUnderErrorsCtx(ctx, modelTemp, test, layout, profile,
-			root.DeriveIndex("evalinject", i).Uint64(), evalSeed)
+		corrupted, err := f.corruptedClone(modelTemp, layout, profile,
+			rng.New(root.DeriveIndex("evalinject", i).Uint64()))
+		if err != nil {
+			return nil, fmt.Errorf("core: evaluation at BER %.0e: %w", rate, err)
+		}
+		acc, err := corrupted.EvaluateEncoded(ctx, evalSet, f.EvalWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluation at BER %.0e: %w", rate, err)
 		}

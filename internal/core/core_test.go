@@ -130,6 +130,27 @@ func TestEvaluateUnderErrorsPairedDeterminism(t *testing.T) {
 	}
 }
 
+// TestEvaluateUnderErrorsMismatchedLayout: a layout placed for a
+// different weight count is reported as an error, not a panic, whether
+// it is larger or smaller than the network's weight image.
+func TestEvaluateUnderErrorsMismatchedLayout(t *testing.T) {
+	f := framework(t)
+	net := tinyNet(t, 30)
+	_, test := tinyData(t, 10, 10)
+	profile, _ := errmodel.UniformProfile(f.Geom, 1e-3, f.DeviceSeed)
+	for _, weights := range []int{net.WeightCount() * 4, net.WeightCount() / 4} {
+		layout, err := f.LayoutForWeights(weights, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := f.EvaluateUnderErrorsCtx(context.Background(), net, test, layout, profile, 5, 9)
+		if err == nil {
+			t.Fatalf("layout for %d weights, network has %d: accuracy %v, want an error",
+				weights, net.WeightCount(), acc)
+		}
+	}
+}
+
 func TestImproveErrorToleranceRejectsBadSchedules(t *testing.T) {
 	f := framework(t)
 	net := tinyNet(t, 20)

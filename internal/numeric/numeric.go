@@ -115,17 +115,6 @@ func (m *Matrix) Scale(s float32) {
 	}
 }
 
-// Clamp limits every element into [lo, hi].
-func (m *Matrix) Clamp(lo, hi float32) {
-	for i, v := range m.Data {
-		if v < lo {
-			m.Data[i] = lo
-		} else if v > hi {
-			m.Data[i] = hi
-		}
-	}
-}
-
 // ColumnSums returns the per-column sums of the matrix.
 func (m *Matrix) ColumnSums() []float32 {
 	sums := make([]float32, m.Cols)
@@ -141,16 +130,39 @@ func (m *Matrix) ColumnSums() []float32 {
 // NormalizeColumns rescales each column so that its sum equals target.
 // Columns whose sum is zero are left untouched. This implements the
 // synaptic-weight normalization used by Diehl&Cook-style SNN training to
-// keep excitatory drive balanced across neurons.
+// keep excitatory drive balanced across neurons. It is
+// NormalizeColumnsClamp without bounds: the same single row-major pass.
 func (m *Matrix) NormalizeColumns(target float32) {
-	sums := m.ColumnSums()
-	for j, s := range sums {
+	m.NormalizeColumnsClamp(target, float32(math.Inf(-1)), float32(math.Inf(1)))
+}
+
+// NormalizeColumnsClamp rescales each column so that its sum equals
+// target, then limits every element into [lo, hi], in one row-major
+// pass over the matrix. The column sums are taken before any scaling,
+// and each element gets one multiply by its column's factor and then
+// the clamp, so the result equals a column-by-column normalization
+// followed by a separate clamp pass, bit for bit. A zero-sum column
+// uses the factor 1, which leaves its elements unchanged (x*1 == x).
+func (m *Matrix) NormalizeColumnsClamp(target, lo, hi float32) {
+	factors := m.ColumnSums()
+	for j, s := range factors {
 		if s == 0 {
-			continue
+			factors[j] = 1
+		} else {
+			factors[j] = target / s
 		}
-		f := target / s
-		for i := 0; i < m.Rows; i++ {
-			m.Data[i*m.Cols+j] *= f
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		f := factors[:len(row)]
+		for j, v := range row {
+			v *= f[j]
+			if v < lo {
+				v = lo
+			} else if v > hi {
+				v = hi
+			}
+			row[j] = v
 		}
 	}
 }

@@ -77,12 +77,57 @@ func TestAccumulateSpikesMatchesMulVec(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	m := NewMatrix(1, 3)
-	copy(m.Data, []float32{-5, 0.5, 5})
-	m.Clamp(0, 1)
-	if m.Data[0] != 0 || m.Data[1] != 0.5 || m.Data[2] != 1 {
-		t.Fatalf("Clamp = %v", m.Data)
+// normalizeThenClampReference is the two-pass form NormalizeColumnsClamp
+// replaces: a column-by-column rescale that skips zero-sum columns, then
+// a separate clamp pass over every element.
+func normalizeThenClampReference(m *Matrix, target, lo, hi float32) {
+	for j, s := range m.ColumnSums() {
+		if s == 0 {
+			continue
+		}
+		f := target / s
+		for i := 0; i < m.Rows; i++ {
+			m.Data[i*m.Cols+j] *= f
+		}
+	}
+	for i, v := range m.Data {
+		if v < lo {
+			m.Data[i] = lo
+		} else if v > hi {
+			m.Data[i] = hi
+		}
+	}
+}
+
+func TestNormalizeColumnsClamp(t *testing.T) {
+	m := NewMatrix(3, 1)
+	copy(m.Data, []float32{-5, 0.5, 5.5})
+	m.NormalizeColumnsClamp(1, 0, 0.5)
+	// The column sums to 1, so only the clamp moves elements.
+	if m.Data[0] != 0 || m.Data[1] != 0.5 || m.Data[2] != 0.5 {
+		t.Fatalf("NormalizeColumnsClamp = %v", m.Data)
+	}
+
+	// Bit-identical to the two-pass reference on a matrix with a
+	// zero-sum column, negative weights and elements beyond both bounds.
+	const rows, cols = 37, 9
+	a, b := NewMatrix(rows, cols), NewMatrix(rows, cols)
+	v := uint64(12345)
+	for i := range a.Data {
+		v = v*6364136223846793005 + 1442695040888963407
+		if i%cols == 3 {
+			continue // column 3 sums to zero
+		}
+		a.Data[i] = float32(int64(v>>40)%2000-300) / 700
+	}
+	a.Data[5*cols+3] = float32(math.Copysign(0, -1)) // a negative zero in the zero-sum column must survive
+	copy(b.Data, a.Data)
+	a.NormalizeColumnsClamp(4, 0, 0.3)
+	normalizeThenClampReference(b, 4, 0, 0.3)
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			t.Fatalf("element %d: %v, reference %v", i, a.Data[i], b.Data[i])
+		}
 	}
 }
 
@@ -236,11 +281,11 @@ func TestNormalizeColumnsProperty(t *testing.T) {
 	}
 }
 
-// Property: Clamp then bounds hold for all elements.
-func TestClampProperty(t *testing.T) {
+// Property: after NormalizeColumnsClamp the bounds hold for all elements.
+func TestNormalizeColumnsClampProperty(t *testing.T) {
 	f := func(vals []float32) bool {
-		m := &Matrix{Rows: 1, Cols: len(vals), Data: append([]float32(nil), vals...)}
-		m.Clamp(-1, 1)
+		m := &Matrix{Rows: len(vals), Cols: 1, Data: append([]float32(nil), vals...)}
+		m.NormalizeColumnsClamp(3, -1, 1)
 		for _, v := range m.Data {
 			if v < -1 || v > 1 {
 				// NaN stays NaN; treat as pass-through (documented behaviour

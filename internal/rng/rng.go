@@ -166,6 +166,49 @@ func (r *Stream) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// BernoulliThreshold returns the integer threshold th for which
+// Uint64()>>11 < th holds exactly when Float64() < p. Float64 is k/2⁵³
+// for the integer k = Uint64()>>11, and scaling by 2⁵³ is exact, so
+// k/2⁵³ < p ⟺ k < ⌈p·2⁵³⌉. For p ≤ 0 or NaN (never below) it is 0, and
+// for p ≥ 1 (always below) it is 2⁵³.
+func BernoulliThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// AppendBernoulli draws one Uint64 per element of idx, in order, and
+// appends idx[i] to dst when the draw's top 53 bits fall below th[i]
+// (see BernoulliThreshold). With th[i] = BernoulliThreshold(p[i]) it
+// consumes the stream and decides exactly as one Float64() < p[i] per
+// element, with the generator state held in locals for the whole loop.
+// It panics if th is shorter than idx.
+func (r *Stream) AppendBernoulli(dst, idx []int32, th []uint64) []int32 {
+	th = th[:len(idx)]
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i, x := range idx {
+		// Uint64's step on locals; sharing it through a helper would push
+		// Uint64 past the inliner's budget.
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if result>>11 < th[i] {
+			dst = append(dst, x)
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return dst
+}
+
 // NormFloat64 returns a standard normal variate (Box-Muller).
 func (r *Stream) NormFloat64() float64 {
 	if r.haveGauss {

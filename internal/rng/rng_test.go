@@ -381,3 +381,84 @@ func TestInt63n(t *testing.T) {
 		}
 	}
 }
+
+// bernoulliProbes are the probabilities the threshold tests cover: the
+// exactness edges of the k/2⁵³ grid, the no-draw edges of Bernoulli, and
+// NaN, plus random values appended by each test.
+var bernoulliProbes = []float64{
+	math.SmallestNonzeroFloat64, 0x1p-53, 0x1p-52 + 0x1p-60, 0.12, 0.5,
+	1 - 0x1p-53, 0, -0.5, 1, 1.5, math.NaN(),
+}
+
+func TestBernoulliThresholdBoundary(t *testing.T) {
+	r := New(37)
+	ps := append([]float64(nil), bernoulliProbes...)
+	for i := 0; i < 1000; i++ {
+		// A grid point k/2⁵³ and an off-grid rate-coder probability.
+		ps = append(ps, r.Float64(), float64(r.Intn(255)+1)/255*r.Float64())
+	}
+	for _, p := range ps {
+		th := BernoulliThreshold(p)
+		if th > 1<<53 {
+			t.Fatalf("BernoulliThreshold(%g) = %d, above 2^53", p, th)
+		}
+		// k = th-1 is the largest draw that spikes, k = th the smallest
+		// that does not.
+		if th > 0 && !(float64(th-1)/(1<<53) < p) {
+			t.Errorf("p=%g: k=th-1=%d should be below p", p, th-1)
+		}
+		if th < 1<<53 && float64(th)/(1<<53) < p {
+			t.Errorf("p=%g: k=th=%d should not be below p", p, th)
+		}
+	}
+}
+
+func TestAppendBernoulliMatchesFloat64(t *testing.T) {
+	pr := New(41)
+	ps := append([]float64(nil), bernoulliProbes...)
+	for i := 0; i < 64; i++ {
+		ps = append(ps, pr.Float64())
+	}
+	// Draw by draw: one single-element kernel call against one Float64.
+	for _, p := range ps {
+		a, b := New(43), New(43)
+		th := []uint64{BernoulliThreshold(p)}
+		for i := 0; i < 2000; i++ {
+			want := a.Float64() < p
+			got := len(b.AppendBernoulli(nil, []int32{7}, th)) == 1
+			if got != want {
+				t.Fatalf("p=%g draw %d: kernel %v, Float64() < p %v", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%g: stream states diverged", p)
+		}
+	}
+	// In bulk: one call over every probability at once.
+	idx := make([]int32, len(ps))
+	th := make([]uint64, len(ps))
+	for i, p := range ps {
+		idx[i], th[i] = int32(i), BernoulliThreshold(p)
+	}
+	a, b := New(47), New(47)
+	for rep := 0; rep < 200; rep++ {
+		var want []int32
+		for i, p := range ps {
+			if a.Float64() < p {
+				want = append(want, idx[i])
+			}
+		}
+		got := b.AppendBernoulli(nil, idx, th)
+		if len(got) != len(want) {
+			t.Fatalf("rep %d: %d spikes, want %d", rep, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("rep %d: spike %d is %d, want %d", rep, i, got[i], want[i])
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("bulk: stream states diverged")
+	}
+}

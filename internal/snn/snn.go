@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/dataset"
@@ -203,8 +204,7 @@ func (n *Network) present(tr coding.Train, learn bool) []int {
 		}
 	}
 	if learn {
-		n.W.NormalizeColumns(cfg.NormTarget)
-		n.W.Clamp(0, cfg.WMax)
+		n.W.NormalizeColumnsClamp(cfg.NormTarget, 0, cfg.WMax)
 	}
 	return n.counts
 }
@@ -241,12 +241,50 @@ func (n *Network) TrainEpoch(ds *dataset.Dataset, r *rng.Stream) {
 // cancellation is identical to an uncancelled run, which keeps partially
 // trained networks deterministic.
 func (n *Network) TrainEpochCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
+	return n.presentEach(ctx, ds, r, "enc", func(_ int, tr coding.Train) {
+		n.present(tr, true)
+	})
+}
+
+// encodeAhead bounds how many encoded samples wait for presentation.
+// Encoding a sample is faster than presenting it, so a short queue keeps
+// the encoder ahead without holding more than a few trains in memory.
+const encodeAhead = 4
+
+// presentEach calls visit for every sample of ds in order, with the
+// sample's spike train encoded under r.DeriveIndex(label, s). One helper
+// goroutine encodes samples s+1… while visit runs on sample s. Each train
+// is a pure function of the image and its derived stream, and DeriveIndex
+// never advances r, so the trains are those of an inline encode. The
+// context is checked before each visit; presentEach stops the encoder
+// and waits for it to exit before returning, on every path.
+func (n *Network) presentEach(ctx context.Context, ds *dataset.Dataset, r *rng.Stream,
+	label string, visit func(s int, tr coding.Train)) error {
+	enc, steps := n.Cfg.Encoder, n.Cfg.Steps
+	trains := make(chan coding.Train, encodeAhead)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(trains)
+		for s := 0; s < ds.Len(); s++ {
+			select {
+			case trains <- enc.Encode(ds.Images[s], steps, r.DeriveIndex(label, s)):
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for s := 0; s < ds.Len(); s++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tr := n.Cfg.Encoder.Encode(ds.Images[s], n.Cfg.Steps, r.DeriveIndex("enc", s))
-		n.present(tr, true)
+		visit(s, <-trains)
 	}
 	return nil
 }
@@ -274,15 +312,14 @@ func (n *Network) AssignLabels(ds *dataset.Dataset, r *rng.Stream) {
 func (n *Network) AssignLabelsCtx(ctx context.Context, ds *dataset.Dataset, r *rng.Stream) error {
 	resp := make([][dataset.NumClasses]float64, n.Cfg.Neurons)
 	classN := ds.ClassCounts()
-	for s := 0; s < ds.Len(); s++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		counts := n.SpikeCounts(ds.Images[s], r.DeriveIndex("assign", s))
+	err := n.presentEach(ctx, ds, r, "assign", func(s int, tr coding.Train) {
 		c := ds.Labels[s]
-		for j, k := range counts {
+		for j, k := range n.present(tr, false) {
 			resp[j][c] += float64(k)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	for j := range resp {
 		best, bestV := -1, 0.0

@@ -11,6 +11,12 @@
 //	BenchmarkSweepScenario  one full scenario through internal/engine
 //	                        (inject + evaluate), caches warm
 //
+// Two training-path layer benchmarks ride along untracked (not in the
+// baseline; the gate reports them but never fails on them):
+//
+//	BenchmarkRateEncode     one 784-pixel Poisson rate encode, 60 steps
+//	BenchmarkAssignLabels   one label-assignment pass, 32 samples (N400)
+//
 // `scripts/bench-record.sh` runs them with fixed iteration counts and
 // -count=3, normalizes the minimum of the runs into BENCH_kernel.json,
 // and CI gates regressions against the committed baseline. Keep names
@@ -220,5 +226,36 @@ func BenchmarkSweepScenarioMultiAxis(b *testing.B) {
 		if _, err := eng.Run(context.Background(), net, test, spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRateEncode measures one Poisson rate encode of a 784-pixel
+// image over 60 steps with the paper's coder — the encode layer every
+// training, labeling and evaluation presentation starts from.
+func BenchmarkRateEncode(b *testing.B) {
+	img := benchTestSet(b, 1).Images[0]
+	enc := coding.NewRate()
+	r := rng.New(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTrain = enc.Encode(img, 60, r)
+	}
+}
+
+// benchTrain keeps BenchmarkRateEncode's result live.
+var benchTrain coding.Train
+
+// BenchmarkAssignLabels measures one unsupervised label-assignment pass
+// (encode plus inference presentation per sample) over 32 samples on an
+// N400 network.
+func BenchmarkAssignLabels(b *testing.B) {
+	net, err := snn.New(snn.DefaultConfig(400), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := benchTestSet(b, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.AssignLabels(train, rng.New(uint64(i)))
 	}
 }
