@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-record bench-check vet fmt-check jobbench-smoke shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
+.PHONY: build test race purego bench bench-record bench-check vet fmt-check jobbench-smoke shard-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke examples-smoke lint vuln ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The portable build of internal/numeric's kernels (the purego tag turns
+# the amd64 assembly off): vet it, race-test the packages whose parallel
+# paths run those kernels (the race detector cannot see memory that
+# assembly touches), and keep a non-amd64 build compiling.
+purego:
+	$(GO) vet -tags purego ./...
+	$(GO) test -race -tags purego ./internal/numeric ./internal/snn ./internal/engine ./internal/core
+	GOARCH=arm64 $(GO) build ./...
 
 # Quick-mode benchmark smoke run: every benchmark executes exactly one
 # iteration end to end. This only proves the benchmarks still run; real
@@ -117,4 +126,4 @@ lint:
 vuln:
 	govulncheck ./...
 
-ci: build vet fmt-check race bench jobbench-smoke examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke
+ci: build vet fmt-check race purego bench jobbench-smoke examples-smoke sweep-smoke serve-smoke fleet-smoke federation-smoke loadgen-smoke pprof-smoke

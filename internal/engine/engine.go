@@ -15,9 +15,10 @@
 //   - DRAM layouts and prepared injectors (weak-cell sets) are cached per
 //     (profile, policy, threshold), so every baseline-policy scenario of
 //     one device point shares a single placement pass;
-//   - each worker corrupts weights into its own pooled scratch buffer and
-//     evaluates through its own snn.Evaluator, so the hot path allocates
-//     nothing per scenario after warm-up.
+//   - each worker corrupts weights into its own scratch buffer, taken from
+//     a per-Run free list of at most one per worker, and evaluates through
+//     its own snn.Evaluator, so the hot path allocates nothing per
+//     scenario after warm-up.
 //
 // Determinism contract (same as internal/sched, DESIGN.md §6/§7): every
 // scenario draws its injection randomness from a stream derived from the
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sparkxd/internal/coding"
 	"sparkxd/internal/core"
@@ -192,6 +194,9 @@ type Engine struct {
 	// encode each test-set/encoder pair once, not once per Run.
 	encMu sync.Mutex
 	encs  map[string]*snn.EncodedSet
+	// scratchBuilds counts the worker scratches (evaluator, weight copy,
+	// image) built over all Runs.
+	scratchBuilds atomic.Int64
 }
 
 // New returns an engine over the framework's device models.
@@ -311,6 +316,32 @@ type scratch struct {
 	ev  *snn.Evaluator
 }
 
+// scratchList is one Run's free list of worker scratches: a scenario
+// takes a free scratch or builds one, and hands it back when done. It
+// holds at most one scratch per worker, and nothing outlives the Run that
+// made it, whereas a sync.Pool's contents stay reachable from the
+// runtime's pool list for up to two GC cycles after the Run returns.
+type scratchList struct {
+	free  chan *scratch // capacity = the Run's worker count
+	build func() *scratch
+}
+
+func (l *scratchList) get() *scratch {
+	select {
+	case s := <-l.free:
+		return s
+	default:
+		return l.build()
+	}
+}
+
+func (l *scratchList) put(s *scratch) {
+	select {
+	case l.free <- s:
+	default:
+	}
+}
+
 // prep is one cached (layout, prepared injector) pair. effTh and safe
 // are only meaningful for the sparkxd policy, whose cache key includes
 // the threshold; the baseline prep is shared across BER points and its
@@ -371,7 +402,8 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 	// persistent Engine.
 	pruned := sched.NewCache()
 
-	pool := sync.Pool{New: func() any {
+	scratches := &scratchList{free: make(chan *scratch, workers), build: func() *scratch {
+		e.scratchBuilds.Add(1)
 		return &scratch{ev: snn.NewEvaluatorWorkers(net, evalWorkers)}
 	}}
 
@@ -387,7 +419,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, &pool, c.RNG)
+			return e.runScenario(ctx, sc, spec, weights, encSets, pruned, scratches, c.RNG)
 		}})
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -411,7 +443,7 @@ func (e *Engine) Run(ctx context.Context, net *snn.Network, test *dataset.Datase
 // run-local pruned-master-weights cache.
 func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 	weights []float32, encSets map[string]*snn.EncodedSet, pruned *sched.Cache,
-	pool *sync.Pool, r *rng.Stream) (Result, error) {
+	scratches *scratchList, r *rng.Stream) (Result, error) {
 	format, err := formatForBits(sc.Bits, e.fw.Format)
 	if err != nil {
 		return Result{}, err
@@ -439,8 +471,8 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 		}
 	}
 
-	s := pool.Get().(*scratch)
-	defer pool.Put(s)
+	s := scratches.get()
+	defer scratches.put(s)
 	flips, err := e.corruptInto(s, w, p, format, r.Derive("inject"))
 	if err != nil {
 		return Result{}, err
@@ -449,7 +481,7 @@ func (e *Engine) runScenario(ctx context.Context, sc Scenario, spec Spec,
 	if es == nil {
 		return Result{}, fmt.Errorf("engine: no encoded test set for encoder axis %q", sc.Encoder.Name)
 	}
-	// Point the pooled evaluator at the scenario's encoder so the
+	// Point the reused evaluator at the scenario's encoder so the
 	// encoded-set identity check passes; evaluation itself reads only the
 	// pre-encoded trains, so results do not depend on which scenario last
 	// used this scratch.
@@ -619,8 +651,8 @@ func (e *Engine) prepFor(sc Scenario, profileKey string, profile *errmodel.Profi
 
 // corruptInto serializes the master weights into the scratch image in
 // the scenario's stored-weight format, injects the scenario's bit
-// errors, and deserializes into the scratch weight buffer — the pooled
-// equivalent of core.CorruptWeights.
+// errors, and deserializes into the scratch weight buffer:
+// core.CorruptWeights into reused buffers.
 func (e *Engine) corruptInto(s *scratch, weights []float32, p *prep, format quant.Format, r *rng.Stream) (int64, error) {
 	need := format.ImageSize(len(weights), p.layout.UnitBytes())
 	if cap(s.img) < need {

@@ -123,6 +123,23 @@ func TestProfileCacheStats(t *testing.T) {
 	}
 }
 
+// TestRunScratchBound: one Run builds at most one worker scratch
+// (evaluator, weight copy, image) per worker, however many scenarios
+// the grid has.
+func TestRunScratchBound(t *testing.T) {
+	net, test := testFixture(t)
+	for _, workers := range []int{1, 3} {
+		e := New(core.NewFramework())
+		res, err := e.Run(context.Background(), net, test, gridSpec(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := e.scratchBuilds.Load(); n < 1 || n > int64(workers) {
+			t.Errorf("workers=%d: %d scenarios built %d scratches, want 1..%d", workers, len(res), n, workers)
+		}
+	}
+}
+
 // TestSweepCancellation: a cancelled sweep stops at scenario boundaries
 // with the context's error.
 func TestSweepCancellation(t *testing.T) {

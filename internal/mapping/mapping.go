@@ -129,6 +129,18 @@ func SparkXD(geom dram.Geometry, units int, safe []bool) (*Layout, error) {
 	if units < 0 {
 		return nil, errors.New("mapping: negative unit count")
 	}
+	// Every column of every row of a safe subarray holds one unit, so a
+	// safe set too small for the image is known before the walk.
+	safeCount := 0
+	for _, ok := range safe {
+		if ok {
+			safeCount++
+		}
+	}
+	if capacity := safeCount * geom.Rows * geom.Columns; capacity < units {
+		return nil, fmt.Errorf("%w: placed %d of %d units",
+			ErrInsufficientSafeCapacity, capacity, units)
+	}
 	coords := make([]dram.Coord, 0, units)
 
 placement:
@@ -156,10 +168,6 @@ placement:
 				}
 			}
 		}
-	}
-	if len(coords) < units {
-		return nil, fmt.Errorf("%w: placed %d of %d units",
-			ErrInsufficientSafeCapacity, len(coords), units)
 	}
 	return &Layout{Geom: geom, Policy: "sparkxd", unitBytes: geom.ColumnBytes, coords: coords}, nil
 }

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"sparkxd/internal/dram"
@@ -115,6 +116,16 @@ func TestSparkXDInsufficientCapacity(t *testing.T) {
 	_, err := SparkXD(g, oneSub+1, safe)
 	if !errors.Is(err, ErrInsufficientSafeCapacity) {
 		t.Fatalf("want ErrInsufficientSafeCapacity, got %v", err)
+	}
+	// The message reports the whole safe capacity as placed.
+	want := fmt.Sprintf("mapping: safe subarrays cannot hold the image: placed %d of %d units", oneSub, oneSub+1)
+	if err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+	_, err = SparkXD(g, 1, make([]bool, g.SubarrayCount()))
+	if !errors.Is(err, ErrInsufficientSafeCapacity) ||
+		err.Error() != "mapping: safe subarrays cannot hold the image: placed 0 of 1 units" {
+		t.Fatalf("empty safe set: got %v", err)
 	}
 }
 

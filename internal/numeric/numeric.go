@@ -1,10 +1,13 @@
 // Package numeric provides the small set of dense float32 vector and
-// matrix kernels used by the SNN simulator and by the analysis code.
+// matrix kernels used by the SNN simulator.
 //
-// The package deliberately stays close to plain loops: the matrices
-// involved (up to 784 x 3600 synaptic weights) are small enough that
-// cache-friendly row-major loops are fast, and keeping the kernels
-// dependency-free makes the numerical behaviour easy to audit.
+// The matrices involved (up to 784 x 3600 synaptic weights) are small
+// enough that cache-friendly row-major passes are fast. The two hot
+// elementwise kernels, drive accumulation (AddTo) and the per-sample
+// normalize+clamp (NormalizeColumnsClamp), run as SSE2 assembly on
+// amd64 and as plain Go loops elsewhere or under the purego build tag.
+// Both forms apply the same IEEE operations to each element in the
+// same order, so results are bit-identical whichever one runs.
 package numeric
 
 import (
@@ -26,12 +29,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
 // Row returns the r-th row as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
@@ -42,87 +39,17 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// Dims returns (rows, cols).
-func (m *Matrix) Dims() (int, int) { return m.Rows, m.Cols }
-
 // String implements fmt.Stringer with a compact shape description.
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 
-// MulVec computes dst = M^T * x when transposed, or dst = M * x otherwise.
-// For the SNN the common pattern is y[j] += sum_i x[i] * W[i][j]
-// (inputs i, neurons j), i.e. transposed=true with W stored input-major.
-func (m *Matrix) MulVec(x, dst []float32, transposed bool) {
-	if transposed {
-		if len(x) != m.Rows || len(dst) != m.Cols {
-			panic("numeric: MulVec transposed dimension mismatch")
-		}
-		for j := range dst {
-			dst[j] = 0
-		}
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			row := m.Row(i)
-			for j, w := range row {
-				dst[j] += xi * w
-			}
-		}
-		return
-	}
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic("numeric: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc float32
-		for j, w := range row {
-			acc += w * x[j]
-		}
-		dst[i] = acc
-	}
-}
-
-// AccumulateSpikes adds, for every active input index i in spikes,
-// the weight row W[i] into dst. This is the sparse event-driven form of
-// MulVec used on binary spike vectors.
-func (m *Matrix) AccumulateSpikes(spikes []int, dst []float32) {
-	if len(dst) != m.Cols {
-		panic("numeric: AccumulateSpikes dimension mismatch")
-	}
-	for _, i := range spikes {
-		row := m.Row(i)
-		for j, w := range row {
-			dst[j] += w
-		}
-	}
-}
-
-// Scale multiplies every element by s.
-func (m *Matrix) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// ColumnSums returns the per-column sums of the matrix.
+// ColumnSums returns the per-column sums of the matrix, each taken in
+// row order.
 func (m *Matrix) ColumnSums() []float32 {
 	sums := make([]float32, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += v
-		}
+		addTo(sums, m.Row(i))
 	}
 	return sums
 }
@@ -143,7 +70,11 @@ func (m *Matrix) NormalizeColumns(target float32) {
 // the clamp, so the result equals a column-by-column normalization
 // followed by a separate clamp pass, bit for bit. A zero-sum column
 // uses the factor 1, which leaves its elements unchanged (x*1 == x).
+// It panics unless lo <= hi (a NaN bound included).
 func (m *Matrix) NormalizeColumnsClamp(target, lo, hi float32) {
+	if !(lo <= hi) {
+		panic("numeric: NormalizeColumnsClamp needs lo <= hi")
+	}
 	factors := m.ColumnSums()
 	for j, s := range factors {
 		if s == 0 {
@@ -153,17 +84,7 @@ func (m *Matrix) NormalizeColumnsClamp(target, lo, hi float32) {
 		}
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		f := factors[:len(row)]
-		for j, v := range row {
-			v *= f[j]
-			if v < lo {
-				v = lo
-			} else if v > hi {
-				v = hi
-			}
-			row[j] = v
-		}
+		scaleClamp(m.Row(i), factors, lo, hi)
 	}
 }
 
@@ -178,113 +99,14 @@ func Fill32(x []float32, v float32) {
 
 // AddTo computes dst[i] += src[i] for every element. It is the inner
 // kernel of the SNN's synaptic-drive accumulation (one call per active
-// input per timestep), unrolled over four-element blocks with explicit
-// capacity slicing so the compiler drops the per-element bounds checks.
-// Each dst element receives exactly one addition of the matching src
-// element, so results are bit-identical to the plain loop regardless of
-// the unroll factor.
+// input per timestep). Each dst element receives exactly one addition of
+// the matching src element, so results are bit-identical to a plain
+// loop whichever kernel runs.
 func AddTo(dst, src []float32) {
 	if len(src) != len(dst) {
 		panic("numeric: AddTo length mismatch")
 	}
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := dst[i : i+4 : i+4]
-		s := src[i : i+4 : i+4]
-		d[0] += s[0]
-		d[1] += s[1]
-		d[2] += s[2]
-		d[3] += s[3]
-	}
-	for ; i < n; i++ {
-		dst[i] += src[i]
-	}
-}
-
-// Sum returns the sum of x.
-func Sum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float32) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for len < 2).
-func Variance(x []float32) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var acc float64
-	for _, v := range x {
-		d := float64(v) - m
-		acc += d * d
-	}
-	return acc / float64(len(x))
-}
-
-// Stddev returns the population standard deviation of x.
-func Stddev(x []float32) float64 { return math.Sqrt(Variance(x)) }
-
-// ArgMax returns the index of the maximum element (-1 for empty input).
-// Ties resolve to the lowest index.
-func ArgMax(x []float32) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMaxInt is ArgMax for int slices.
-func ArgMaxInt(x []int) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Dot returns the dot product of a and b.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
-// AXPY computes y += alpha * x in place.
-func AXPY(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("numeric: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
+	addTo(dst, src)
 }
 
 // DecayExp multiplies every element of x by the factor exp(-dt/tau),

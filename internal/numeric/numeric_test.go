@@ -8,72 +8,27 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if r, c := m.Dims(); r != 3 || c != 4 {
-		t.Fatalf("Dims = (%d,%d)", r, c)
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("NewMatrix(3, 4) = %dx%d with %d elements", m.Rows, m.Cols, len(m.Data))
 	}
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
-		t.Fatal("Set/At roundtrip failed")
-	}
+	m.Data[1*4+2] = 5
 	row := m.Row(1)
 	if len(row) != 4 || row[2] != 5 {
 		t.Fatal("Row aliasing failed")
 	}
 	row[0] = 9
-	if m.At(1, 0) != 9 {
+	if m.Data[1*4+0] != 9 {
 		t.Fatal("Row must alias matrix storage")
 	}
 }
 
 func TestMatrixClone(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
+	m.Data[0] = 1
 	c := m.Clone()
-	c.Set(0, 0, 7)
-	if m.At(0, 0) != 1 {
+	c.Data[0] = 7
+	if m.Data[0] != 1 {
 		t.Fatal("Clone must not share storage")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	// W = [[1 2],[3 4],[5 6]] (3 inputs x 2 neurons)
-	m := NewMatrix(3, 2)
-	copy(m.Data, []float32{1, 2, 3, 4, 5, 6})
-	x := []float32{1, 0, 2}
-	dst := make([]float32, 2)
-	m.MulVec(x, dst, true)
-	if dst[0] != 11 || dst[1] != 14 {
-		t.Fatalf("transposed MulVec = %v, want [11 14]", dst)
-	}
-	y := []float32{1, 1}
-	dst2 := make([]float32, 3)
-	m.MulVec(y, dst2, false)
-	want := []float32{3, 7, 11}
-	for i := range want {
-		if dst2[i] != want[i] {
-			t.Fatalf("MulVec = %v, want %v", dst2, want)
-		}
-	}
-}
-
-func TestAccumulateSpikesMatchesMulVec(t *testing.T) {
-	m := NewMatrix(5, 3)
-	for i := range m.Data {
-		m.Data[i] = float32(i%7) * 0.5
-	}
-	spikes := []int{0, 2, 4}
-	x := make([]float32, 5)
-	for _, s := range spikes {
-		x[s] = 1
-	}
-	want := make([]float32, 3)
-	m.MulVec(x, want, true)
-	got := make([]float32, 3)
-	m.AccumulateSpikes(spikes, got)
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-6 {
-			t.Fatalf("AccumulateSpikes = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -146,56 +101,6 @@ func TestNormalizeColumns(t *testing.T) {
 	for _, v := range m.Data {
 		if math.IsNaN(float64(v)) {
 			t.Fatal("NormalizeColumns produced NaN")
-		}
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil) should be -1")
-	}
-	if ArgMax([]float32{1, 3, 3, 2}) != 1 {
-		t.Error("ArgMax tie should resolve to lowest index")
-	}
-	if ArgMaxInt([]int{5, 1, 9}) != 2 {
-		t.Error("ArgMaxInt failed")
-	}
-	if ArgMaxInt(nil) != -1 {
-		t.Error("ArgMaxInt(nil) should be -1")
-	}
-}
-
-func TestSumMeanVariance(t *testing.T) {
-	x := []float32{1, 2, 3, 4}
-	if Sum(x) != 10 {
-		t.Error("Sum failed")
-	}
-	if Mean(x) != 2.5 {
-		t.Error("Mean failed")
-	}
-	if math.Abs(Variance(x)-1.25) > 1e-9 {
-		t.Errorf("Variance = %v, want 1.25", Variance(x))
-	}
-	if math.Abs(Stddev(x)-math.Sqrt(1.25)) > 1e-9 {
-		t.Error("Stddev failed")
-	}
-	if Mean(nil) != 0 || Variance([]float32{1}) != 0 {
-		t.Error("degenerate stats failed")
-	}
-}
-
-func TestDotAXPY(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Errorf("Dot = %v", Dot(a, b))
-	}
-	y := []float32{1, 1, 1}
-	AXPY(2, a, y)
-	want := []float32{3, 5, 7}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY = %v", y)
 		}
 	}
 }
@@ -299,23 +204,5 @@ func TestNormalizeColumnsClampProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkMulVecTransposed(b *testing.B) {
-	m := NewMatrix(784, 900)
-	for i := range m.Data {
-		m.Data[i] = float32(i%13) * 0.01
-	}
-	x := make([]float32, 784)
-	for i := range x {
-		if i%3 == 0 {
-			x[i] = 1
-		}
-	}
-	dst := make([]float32, 900)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(x, dst, true)
 	}
 }

@@ -11,11 +11,12 @@
 //	BenchmarkSweepScenario  one full scenario through internal/engine
 //	                        (inject + evaluate), caches warm
 //
-// Two training-path layer benchmarks ride along untracked (not in the
+// Three training-path layer benchmarks ride along untracked (not in the
 // baseline; the gate reports them but never fails on them):
 //
 //	BenchmarkRateEncode     one 784-pixel Poisson rate encode, 60 steps
 //	BenchmarkAssignLabels   one label-assignment pass, 32 samples (N400)
+//	BenchmarkNormalizeColumnsClamp  one weight normalize + clamp, 784 x 100
 //
 // `scripts/bench-record.sh` runs them with fixed iteration counts and
 // -count=3, normalizes the minimum of the runs into BENCH_kernel.json,
@@ -34,6 +35,7 @@ import (
 	"sparkxd/internal/engine"
 	"sparkxd/internal/errmodel"
 	"sparkxd/internal/neuron"
+	"sparkxd/internal/numeric"
 	"sparkxd/internal/quant"
 	"sparkxd/internal/rng"
 	"sparkxd/internal/snn"
@@ -257,5 +259,20 @@ func BenchmarkAssignLabels(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.AssignLabels(train, rng.New(uint64(i)))
+	}
+}
+
+// BenchmarkNormalizeColumnsClamp measures the per-learning-sample weight
+// normalization + clamp over a 784 x 100 matrix (the N100 training
+// network), the largest elementwise pass of a training presentation.
+func BenchmarkNormalizeColumnsClamp(b *testing.B) {
+	m := numeric.NewMatrix(784, 100)
+	r := rng.New(5)
+	for i := range m.Data {
+		m.Data[i] = 0.2 + 0.6*r.Float32()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.NormalizeColumnsClamp(78, 0, 1)
 	}
 }
